@@ -11,6 +11,7 @@ use veltair_compiler::{
     compile_model, search_with_stats, CompiledModel, CompilerOptions, HysteresisConfig, SearchMode,
     SelectionContext, SelectorKind,
 };
+use veltair_sched::layer_block::{block_core_requirement, boosted_block_cores, form_blocks};
 use veltair_sched::runtime::Driver;
 use veltair_sched::{Policy, QuerySpec, SimConfig, WorkloadSpec};
 use veltair_sim::{Interference, MachineConfig, SimTime};
@@ -350,6 +351,52 @@ fn bench_selector_hot_path(c: &mut Criterion) {
     }
 }
 
+/// Algorithm 2's block sizing, the largest share of `Driver::step`: the
+/// QoS-minimum core requirement and the boost scan above it, for every
+/// block of resnet50's partition at a quiet and a loaded pressure. Each
+/// call rates (unit, core count) pairs through the layers' compiled
+/// core-count curves.
+fn bench_block_sizing(c: &mut Criterion) {
+    let machine = MachineConfig::threadripper_3990x();
+    let model = compile_model(
+        &veltair_models::resnet50(),
+        &machine,
+        &CompilerOptions::fast(),
+    );
+    for level in [0.0, 0.6] {
+        let versions = veltair_compiler::selector::select_at_level(&model, level, true);
+        let blocks = form_blocks(&model, level, true, 4, &machine);
+        let pressure = Interference::level(level);
+        c.bench_function(&format!("block_sizing/resnet50/p{level:.1}"), |b| {
+            b.iter(|| {
+                blocks
+                    .iter()
+                    .map(|block| {
+                        let min_cores = block_core_requirement(
+                            std::hint::black_box(&model),
+                            block.start,
+                            block.end,
+                            &versions,
+                            pressure,
+                            &machine,
+                        );
+                        boosted_block_cores(
+                            &model,
+                            block.start,
+                            block.end,
+                            &versions,
+                            pressure,
+                            min_cores,
+                            machine.cores,
+                            &machine,
+                        )
+                    })
+                    .sum::<u32>()
+            })
+        });
+    }
+}
+
 /// The per-layer schedule search head to head: full enumeration (lower
 /// and measure every generated candidate) vs the learned cost-model
 /// search (measure a training slice, rank the rest with the fitted
@@ -393,6 +440,6 @@ criterion_group! {
     targets = bench_driver_step, bench_router_decisions, bench_fleet_run,
         bench_fleet_stepper_scaling, bench_scan_vs_indexed_routing,
         bench_fleet_churn, bench_trace_overhead, bench_selector_hot_path,
-        bench_schedule_search
+        bench_schedule_search, bench_block_sizing
 }
 criterion_main!(cluster_hot_path);

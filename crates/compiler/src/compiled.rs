@@ -1,9 +1,13 @@
 //! Compiled artifacts: versioned layers and models with precomputed
 //! interference-indexed lookup tables for the runtime scheduler.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use veltair_models::{ModelSpec, WorkloadClass};
-use veltair_sim::{execute, Interference, KernelProfile, MachineConfig};
+use veltair_sim::{
+    CoreCurve, Execution, Headroom, Interference, KernelProfile, MachineConfig, Rater,
+};
 use veltair_tensor::{fusion_cap_for_level, FusedUnit, GemmView};
 
 use crate::lower::{lower_gemm, lower_streaming};
@@ -147,7 +151,8 @@ fn class_for(cores: u32) -> usize {
 
 /// A compiled layer: its multi-version code library plus the lookup tables
 /// (best version and per-version core requirement per interference bin)
-/// that make runtime decisions O(1).
+/// that make runtime decisions O(1), and a core-count curve per version
+/// that makes each runtime rating cheap (see [`CompiledLayer::rater`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledLayer {
     /// Scheduling-unit name (fused producer + epilogues).
@@ -168,6 +173,11 @@ pub struct CompiledLayer {
     reference_class: usize,
     /// Minimum cores meeting the QoS share, per version per bin.
     core_req: Vec<[u32; NUM_INTERFERENCE_BINS]>,
+    /// Pressure-independent rating terms per version (same order as
+    /// `versions`) for every core count of the build machine. Immutable
+    /// once built, so clones of the layer (registries, the compile cache)
+    /// share one copy.
+    curves: Arc<[CoreCurve]>,
 }
 
 impl CompiledLayer {
@@ -187,6 +197,10 @@ impl CompiledLayer {
             "a compiled layer needs at least one version"
         );
         let bins = interference_bins();
+        let curves: Arc<[CoreCurve]> = versions
+            .iter()
+            .map(|v| CoreCurve::new(&v.profile, machine))
+            .collect();
 
         // When adaptive fusion produced coarse-granularity siblings, each
         // interference bin competes only among versions compiled at that
@@ -203,19 +217,15 @@ impl CompiledLayer {
             let mut row = [0usize; NUM_INTERFERENCE_BINS];
             for (bi, &level) in bins.iter().enumerate() {
                 let target = unfused_for_bin(run_len, bi);
+                let headroom = Headroom::under(Interference::level(level), machine);
                 let pick = |granularity: Option<u32>| -> Option<(usize, f64)> {
                     let mut best: Option<(usize, f64)> = None;
                     for (vi, v) in versions.iter().enumerate() {
                         if granularity.is_some_and(|t| v.unfused_epilogue != t) {
                             continue;
                         }
-                        let l = execute(
-                            &v.profile,
-                            cores.min(machine.cores),
-                            Interference::level(level),
-                            machine,
-                        )
-                        .latency_s;
+                        let l = Rater::on_curve(&curves[vi], headroom, machine)
+                            .latency_s(cores.min(machine.cores));
                         if best.is_none_or(|(_, b)| l < b) {
                             best = Some((vi, l));
                         }
@@ -232,17 +242,22 @@ impl CompiledLayer {
         let reference_class = class_for(reference_cores);
 
         let mut core_req = Vec::with_capacity(versions.len());
-        for v in &versions {
+        for curve in curves.iter() {
             let mut row = [machine.cores; NUM_INTERFERENCE_BINS];
             for (bi, &level) in bins.iter().enumerate() {
-                row[bi] = min_cores_for(&v.profile, qos_share_s * QOS_PLAN_MARGIN, level, machine);
+                row[bi] = min_cores_for(curve, qos_share_s * QOS_PLAN_MARGIN, level, machine);
             }
             core_req.push(row);
         }
 
         let qos_feasible = {
-            let v0 = &versions[best_version[reference_class][0]];
-            let l = execute(&v0.profile, machine.cores, Interference::NONE, machine).latency_s
+            let v0 = best_version[reference_class][0];
+            let l = Rater::on_curve(
+                &curves[v0],
+                Headroom::under(Interference::NONE, machine),
+                machine,
+            )
+            .latency_s(machine.cores)
                 + machine.dispatch_overhead_s;
             l <= qos_share_s
         };
@@ -257,7 +272,46 @@ impl CompiledLayer {
             best_version,
             reference_class,
             core_req,
+            curves,
         }
+    }
+
+    /// A [`Rater`] for `version` under `headroom`. It reads the version's
+    /// core-count curve when the curve provably matches what is rated:
+    /// the version's profile is still, bit for bit, the one the curve was
+    /// built from (`versions` is a public field) and the curve covers
+    /// `machine`. Otherwise it computes every term, as [`execute`] does.
+    /// Either way the ratings are bit-identical to [`execute`].
+    ///
+    /// [`execute`]: veltair_sim::execute
+    #[inline]
+    #[must_use]
+    pub fn rater<'s>(
+        &'s self,
+        version: usize,
+        headroom: Headroom,
+        machine: &'s MachineConfig,
+    ) -> Rater<'s> {
+        let profile = &self.versions[version].profile;
+        match self.curves.get(version) {
+            Some(curve) if curve.is_for(profile) => Rater::on_curve(curve, headroom, machine),
+            _ => Rater::new(profile, headroom, machine),
+        }
+    }
+
+    /// Executes `version` on `cores` under `interference`: the
+    /// [`execute`](veltair_sim::execute) result, read through
+    /// [`CompiledLayer::rater`].
+    #[must_use]
+    pub fn execute(
+        &self,
+        version: usize,
+        cores: u32,
+        interference: Interference,
+        machine: &MachineConfig,
+    ) -> Execution {
+        self.rater(version, Headroom::under(interference, machine), machine)
+            .execute(cores)
     }
 
     /// Index of the fastest version at the given interference level, judged
@@ -292,13 +346,8 @@ impl CompiledLayer {
         interference: Interference,
         machine: &MachineConfig,
     ) -> f64 {
-        execute(
-            &self.versions[version].profile,
-            cores,
-            interference,
-            machine,
-        )
-        .latency_s
+        self.rater(version, Headroom::under(interference, machine), machine)
+            .latency_s(cores)
             + machine.dispatch_overhead_s
     }
 }
@@ -306,16 +355,15 @@ impl CompiledLayer {
 /// Minimum core count whose latency (plus dispatch) meets `target_s` at the
 /// given interference level; when unattainable, the latency-minimizing core
 /// count (footprint growth can make more cores slower under contention).
-fn min_cores_for(
-    profile: &KernelProfile,
-    target_s: f64,
-    level: f64,
-    machine: &MachineConfig,
-) -> u32 {
-    let interference = Interference::level(level);
+fn min_cores_for(curve: &CoreCurve, target_s: f64, level: f64, machine: &MachineConfig) -> u32 {
+    let rater = Rater::on_curve(
+        curve,
+        Headroom::under(Interference::level(level), machine),
+        machine,
+    );
     let mut best = (1u32, f64::INFINITY);
     for p in 1..=machine.cores {
-        let l = execute(profile, p, interference, machine).latency_s + machine.dispatch_overhead_s;
+        let l = rater.latency_s(p) + machine.dispatch_overhead_s;
         if l <= target_s {
             return p;
         }

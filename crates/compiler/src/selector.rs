@@ -31,7 +31,7 @@
 
 use crate::compiled::CompiledModel;
 use crate::options::CompilerError;
-use veltair_sim::{execute, Interference, MachineConfig};
+use veltair_sim::{Headroom, Interference, MachineConfig};
 
 /// Chooses the code version for every unit of the model at an assumed
 /// interference level (`adaptive = false` pins the solo-optimal version,
@@ -82,16 +82,15 @@ pub fn select_for_pressure(
     machine: &MachineConfig,
 ) -> Vec<usize> {
     let cores = expected_cores.max(1);
+    let headroom = Headroom::under(pressure, machine);
     model
         .layers
         .iter()
         .map(|layer| {
             (0..layer.versions.len())
                 .min_by(|&a, &b| {
-                    let la =
-                        execute(&layer.versions[a].profile, cores, pressure, machine).latency_s;
-                    let lb =
-                        execute(&layer.versions[b].profile, cores, pressure, machine).latency_s;
+                    let la = layer.rater(a, headroom, machine).latency_s(cores);
+                    let lb = layer.rater(b, headroom, machine).latency_s(cores);
                     la.total_cmp(&lb)
                 })
                 .unwrap_or(0)

@@ -8,7 +8,7 @@
 //! profile (paper Fig. 10a).
 
 use veltair_compiler::CompiledModel;
-use veltair_sim::{execute, Interference, MachineConfig};
+use veltair_sim::{Headroom, Interference, MachineConfig};
 
 /// A formed layer block: the unit range, the per-unit code versions, and
 /// the core allocation that meets the block's summed QoS share.
@@ -82,28 +82,20 @@ pub fn block_core_requirement(
         .map(|l| l.qos_share_s)
         .sum::<f64>()
         * veltair_compiler::QOS_PLAN_MARGIN;
-    for p in 1..=machine.cores {
-        let total: f64 = (start..end)
-            .map(|i| {
-                execute(
-                    &model.layers[i].versions[versions[i]].profile,
-                    p,
-                    pressure,
-                    machine,
-                )
-                .latency_s
-                    + machine.dispatch_overhead_s
-            })
-            .sum();
-        if total <= budget {
-            return p;
-        }
-    }
-    machine.cores
+    (1..=machine.cores)
+        .find(|&p| {
+            block_flat_latency_s(model, start, end, versions, pressure, p, machine) <= budget
+        })
+        .unwrap_or(machine.cores)
 }
 
 /// Flat latency of the units `[start, end)` on `cores` cores under the
 /// given ambient pressure, including per-unit dispatch overhead.
+///
+/// Each unit is rated through its layer's core-count curve
+/// ([`CompiledLayer::rater`](veltair_compiler::CompiledLayer::rater)), so
+/// only the pressure-dependent DRAM term is computed here; the result is
+/// bit-identical to summing [`veltair_sim::execute`] latencies.
 #[must_use]
 pub fn block_flat_latency_s(
     model: &CompiledModel,
@@ -114,27 +106,50 @@ pub fn block_flat_latency_s(
     cores: u32,
     machine: &MachineConfig,
 ) -> f64 {
+    let mut total = [0.0];
+    add_flat_latencies(
+        model, start, end, versions, pressure, cores, &mut total, machine,
+    );
+    total[0]
+}
+
+/// Adds the flat latency of the units `[start, end)` on `min_cores + k`
+/// cores to `totals[k]`, unit by unit in block order — the same additions
+/// in the same order as one [`block_flat_latency_s`] per core count, with
+/// each unit's rater built once.
+#[allow(clippy::too_many_arguments)]
+fn add_flat_latencies(
+    model: &CompiledModel,
+    start: usize,
+    end: usize,
+    versions: &[usize],
+    pressure: Interference,
+    min_cores: u32,
+    totals: &mut [f64],
+    machine: &MachineConfig,
+) {
     assert!(
         start < end && end <= model.layers.len(),
         "invalid block range"
     );
-    (start..end)
-        .map(|i| {
-            execute(
-                &model.layers[i].versions[versions[i]].profile,
-                cores,
-                pressure,
-                machine,
-            )
-            .latency_s
-                + machine.dispatch_overhead_s
-        })
-        .sum()
+    let headroom = Headroom::under(pressure, machine);
+    for (layer, &version) in model.layers[start..end].iter().zip(&versions[start..end]) {
+        let rater = layer.rater(version, headroom, machine);
+        for (total, p) in totals.iter_mut().zip(min_cores..) {
+            *total += rater.latency_s(p) + machine.dispatch_overhead_s;
+        }
+    }
 }
 
 /// Relative latency slack accepted when boosting: the smallest allocation
 /// within 5 % of the best achievable latency in the boost range wins.
 const BOOST_SLACK: f64 = 0.05;
+
+thread_local! {
+    /// [`boosted_block_cores`]' per-allocation latencies, reused across
+    /// calls so block planning allocates nothing.
+    static BOOST_SCAN: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
 
 /// Raises a block's allocation above its QoS minimum toward `cap`,
 /// implementing §4.2's rule that a lightly loaded system should let each
@@ -159,22 +174,18 @@ pub fn boosted_block_cores(
     if cap <= min_cores {
         return min_cores;
     }
-    let latencies: Vec<(u32, f64)> = (min_cores..=cap)
-        .map(|p| {
-            (
-                p,
-                block_flat_latency_s(model, start, end, versions, pressure, p, machine),
-            )
-        })
-        .collect();
-    let best = latencies
-        .iter()
-        .map(|&(_, l)| l)
-        .fold(f64::INFINITY, f64::min);
-    latencies
-        .iter()
-        .find(|&&(_, l)| l <= best * (1.0 + BOOST_SLACK))
-        .map_or(min_cores, |&(p, _)| p)
+    BOOST_SCAN.with_borrow_mut(|latencies| {
+        latencies.clear();
+        latencies.resize((cap - min_cores + 1) as usize, 0.0);
+        add_flat_latencies(
+            model, start, end, versions, pressure, min_cores, latencies, machine,
+        );
+        let best = latencies.iter().copied().fold(f64::INFINITY, f64::min);
+        latencies
+            .iter()
+            .position(|&l| l <= best * (1.0 + BOOST_SLACK))
+            .map_or(min_cores, |i| min_cores + i as u32)
+    })
 }
 
 /// Chooses the code version for every unit of the model at an interference

@@ -29,15 +29,21 @@ use crate::simulator::SimConfig;
 
 /// Estimates co-runner pressure for admission and block planning.
 ///
-/// `corunners` holds the current rating of every active, not
-/// soon-to-finish unit; the result is the full pressure pair plus the
-/// scalar level used to index the compiled lookup tables.
+/// `corunners` streams the current rating of every active, not
+/// soon-to-finish unit (plus, for the projection's mix ceiling, the
+/// hypothetical joiners), so observing allocates nothing; the result is
+/// the full pressure pair plus the scalar level used to index the
+/// compiled lookup tables.
 pub trait Monitor: std::fmt::Debug + Send + Sync {
     /// Monitor name for diagnostics.
     fn name(&self) -> &'static str;
 
     /// Observes the given co-runners on `machine`.
-    fn observe(&self, corunners: &[&Execution], machine: &MachineConfig) -> (Interference, f64);
+    fn observe(
+        &self,
+        corunners: &mut dyn Iterator<Item = Execution>,
+        machine: &MachineConfig,
+    ) -> (Interference, f64);
 }
 
 /// Builds the monitor a configuration asks for: the trained counter proxy
@@ -59,11 +65,13 @@ impl Monitor for OracleMonitor {
         "oracle"
     }
 
-    fn observe(&self, corunners: &[&Execution], machine: &MachineConfig) -> (Interference, f64) {
-        if corunners.is_empty() {
-            return (Interference::NONE, 0.0);
-        }
-        let pair = Interference::from_corunners(corunners.iter().map(|e| &e.demand), machine);
+    fn observe(
+        &self,
+        corunners: &mut dyn Iterator<Item = Execution>,
+        machine: &MachineConfig,
+    ) -> (Interference, f64) {
+        // No co-runners sum to exactly `Interference::NONE` at level 0.
+        let pair = Interference::from_demands(corunners.map(|e| e.demand), machine);
         (pair, pair.scalar())
     }
 }
@@ -88,12 +96,15 @@ impl Monitor for CounterProxyMonitor {
         "counter-proxy"
     }
 
-    fn observe(&self, corunners: &[&Execution], _machine: &MachineConfig) -> (Interference, f64) {
-        if corunners.is_empty() {
-            return (Interference::NONE, 0.0);
-        }
+    fn observe(
+        &self,
+        corunners: &mut dyn Iterator<Item = Execution>,
+        _machine: &MachineConfig,
+    ) -> (Interference, f64) {
+        let mut observed = false;
         let mut counters = veltair_sim::PerfCounters::default();
         for exec in corunners {
+            observed = true;
             // Rate-weight the counters by each unit's own duration.
             let scale = 1.0 / exec.latency_s.max(1e-12);
             counters.l3_accesses += exec.counters.l3_accesses * scale;
@@ -101,6 +112,9 @@ impl Monitor for CounterProxyMonitor {
             counters.instructions += exec.counters.instructions * scale;
             counters.cycles += exec.counters.cycles * scale;
             counters.flops += exec.counters.flops * scale;
+        }
+        if !observed {
+            return (Interference::NONE, 0.0);
         }
         let level = self
             .proxy

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use veltair_compiler::selector::{solo_versions, SelectionContext, VersionSelector};
 use veltair_compiler::CompiledModel;
 use veltair_sim::{
-    execute, EventQueue, Execution, Interference, PerfCounters, PressureDemand, SimTime,
+    EventQueue, Execution, Headroom, Interference, PerfCounters, PressureDemand, SimTime,
     UnitProgress,
 };
 use veltair_telemetry::{TraceEventKind, TraceSink};
@@ -456,13 +456,19 @@ impl<'a> SimState<'a> {
     /// soon-to-finish rule, §4.3), as estimated by the configured monitor.
     #[must_use]
     pub fn monitored(&self) -> (Interference, f64) {
-        let corunners: Vec<&Execution> = self
-            .running
+        self.monitor.observe(
+            &mut self.monitored_units().map(|r| r.exec),
+            &self.cfg.machine,
+        )
+    }
+
+    /// The units [`SimState::monitored`] observes: active and not soon to
+    /// finish.
+    fn monitored_units(&self) -> impl Iterator<Item = &Running> + Clone {
+        let soon_finish_frac = self.cfg.soon_finish_frac;
+        self.running
             .iter()
-            .filter(|r| r.active && r.progress.remaining_frac >= self.cfg.soon_finish_frac)
-            .map(|r| &r.exec)
-            .collect();
-        self.monitor.observe(&corunners, &self.cfg.machine)
+            .filter(move |r| r.active && r.progress.remaining_frac >= soon_finish_frac)
     }
 
     /// The predictive pressure reading for a planning decision: the
@@ -491,71 +497,62 @@ impl<'a> SimState<'a> {
     /// narrow light streams packs to the mild contention it can
     /// actually produce, so the selector never compiles for pressure
     /// the tenants cannot generate (see [`monitor::project`]).
+    ///
+    /// The blueprint, the phantoms and the packed set are streamed into
+    /// the monitor, never collected: one projection runs per plan.
     #[must_use]
     pub fn projected(&self) -> PressureView {
         let (pair, level) = self.monitored();
         let machine = &self.cfg.machine;
         let total_cores = machine.cores;
-        let monitored =
-            |r: &&Running| r.active && r.progress.remaining_frac >= self.cfg.soon_finish_frac;
-        let occupied_cores: u32 = self
-            .running
-            .iter()
-            .filter(monitored)
-            .map(|r| r.granted)
-            .sum();
-        let mut backlog_cores: u64 = 0;
+        let occupied_cores: u32 = self.monitored_units().map(|r| r.granted).sum();
         // The phantom blueprint: queued units first (the real joiners),
         // then the already-resident mix for cycling once the queue is
         // exhausted before the machine is full.
-        let mut blueprint: Vec<(usize, usize)> = Vec::new();
-        for p in self.continuations.iter().chain(self.arrivals.iter()) {
-            let q = &self.queries[p.query];
-            let model = &self.models[q.model];
-            backlog_cores += u64::from(model.model_core_requirement(level).max(1));
-            blueprint.push((q.model, q.next_unit));
-        }
+        let queued = self
+            .continuations
+            .iter()
+            .chain(self.arrivals.iter())
+            .map(|p| {
+                let q = &self.queries[p.query];
+                (q.model, q.next_unit)
+            });
+        let backlog_cores: u64 = queued
+            .clone()
+            .map(|(model, _)| u64::from(self.models[model].model_core_requirement(level).max(1)))
+            .sum();
         if backlog_cores == 0 && occupied_cores == 0 || self.cfg.projection.saturation_weight <= 0.0
         {
             return PressureView::instantaneous(pair, level);
         }
-        for r in self.running.iter().filter(monitored) {
-            blueprint.push((self.queries[r.query].model, r.unit));
-        }
-        let mut phantoms: Vec<Execution> = Vec::new();
+        let resident = self
+            .monitored_units()
+            .map(|r| (self.queries[r.query].model, r.unit));
         let mut packed = occupied_cores;
-        let mut next = 0usize;
-        while !blueprint.is_empty() && packed < total_cores {
-            let (model_index, unit) = blueprint[next % blueprint.len()];
-            let model = &self.models[model_index];
-            let req = model
-                .model_core_requirement(level)
-                .clamp(1, total_cores.max(1));
-            if packed + req > total_cores {
-                break;
-            }
-            let layer = &model.layers[unit.min(model.layers.len() - 1)];
-            let version = layer.version_for(level, req);
-            phantoms.push(execute(
-                &layer.versions[version].profile,
-                req,
-                Interference::level(level),
-                machine,
-            ));
-            packed += req;
-            next += 1;
-        }
-        let (ceiling, ceiling_level) = if phantoms.is_empty() {
+        let mut phantoms = queued
+            .chain(resident)
+            .cycle()
+            .map_while(|(model_index, unit)| {
+                let model = &self.models[model_index];
+                let req = model
+                    .model_core_requirement(level)
+                    .clamp(1, total_cores.max(1));
+                if packed + req > total_cores {
+                    return None;
+                }
+                packed += req;
+                let layer = &model.layers[unit.min(model.layers.len() - 1)];
+                let version = layer.version_for(level, req);
+                Some(layer.execute(version, req, Interference::level(level), machine))
+            })
+            .peekable();
+        let (ceiling, ceiling_level) = if phantoms.peek().is_none() {
             (pair, level)
         } else {
-            let mut packed_set: Vec<&Execution> = self
-                .running
-                .iter()
-                .filter(monitored)
-                .map(|r| &r.exec)
-                .collect();
-            packed_set.extend(phantoms.iter());
-            self.monitor.observe(&packed_set, machine)
+            self.monitor.observe(
+                &mut self.monitored_units().map(|r| r.exec).chain(phantoms),
+                machine,
+            )
         };
         monitor::project(
             pair,
@@ -666,33 +663,20 @@ impl<'a> SimState<'a> {
 
         self.report.dispatches += 1;
         let machine = &self.cfg.machine;
-        let model = &self.models[self.queries[query].model];
+        let layer = &self.models[self.queries[query].model].layers[start];
         let version = versions[0];
         let interference = self.interference_for(slot);
-        let exec = execute(
-            &model.layers[start].versions[version].profile,
-            granted,
-            interference,
-            machine,
-        );
+        let exec = layer.execute(version, granted, interference, machine);
         // Solo ratings for SLO attribution, recorded only while traced:
         // the same pure rating function under zero interference, for the
         // chosen version and for the best version of this layer — the
         // interference-excess and version-choice terms of
         // `TraceLog::explain` fall out of the difference.
         let trace_solo = if self.trace_enabled {
-            let layer = &model.layers[start];
-            let solo_s = execute(
-                &layer.versions[version].profile,
-                granted,
-                Interference::NONE,
-                machine,
-            )
-            .latency_s;
-            let solo_best_s = layer
-                .versions
-                .iter()
-                .map(|v| execute(&v.profile, granted, Interference::NONE, machine).latency_s)
+            let solo = Headroom::under(Interference::NONE, machine);
+            let solo_s = layer.rater(version, solo, machine).latency_s(granted);
+            let solo_best_s = (0..layer.versions.len())
+                .map(|v| layer.rater(v, solo, machine).latency_s(granted))
                 .fold(f64::INFINITY, f64::min);
             Some((solo_s, solo_best_s))
         } else {
@@ -806,12 +790,7 @@ impl<'a> SimState<'a> {
             let interference = self.interference_for(slot);
             let r = &mut self.running[slot];
             let version = r.versions[next_unit - r.start];
-            r.exec = execute(
-                &model.layers[next_unit].versions[version].profile,
-                r.granted,
-                interference,
-                machine,
-            );
+            r.exec = model.layers[next_unit].execute(version, r.granted, interference, machine);
             r.progress
                 .restart(machine.unit_dispatch_overhead_s(r.granted));
             r.gen += 1;
@@ -916,8 +895,8 @@ impl<'a> SimState<'a> {
                         let r = &self.running[slot];
                         let model = &self.models[self.queries[r.query].model];
                         let version = r.versions[r.unit - r.start];
-                        let exec = execute(
-                            &model.layers[r.unit].versions[version].profile,
+                        let exec = model.layers[r.unit].execute(
+                            version,
                             r.granted,
                             interference,
                             &machine,

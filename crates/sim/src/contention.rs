@@ -57,6 +57,16 @@ impl Interference {
     where
         I: IntoIterator<Item = &'a PressureDemand>,
     {
+        Self::from_demands(others.into_iter().copied(), machine)
+    }
+
+    /// [`Interference::from_corunners`] over owned demands, for co-runner
+    /// sets that are streamed rather than stored.
+    #[must_use]
+    pub fn from_demands<I>(others: I, machine: &MachineConfig) -> Self
+    where
+        I: IntoIterator<Item = PressureDemand>,
+    {
         let mut cache = 0.0;
         let mut bw = 0.0;
         for d in others {

@@ -122,6 +122,10 @@ impl UnitProgress {
 /// traffic divided by the bandwidth left over by co-runners. The two terms
 /// overlap imperfectly (`OVERLAP_RESIDUAL`).
 ///
+/// This is [`Rater::new`] plus [`Rater::execute`]: callers that rate one
+/// kernel at many core counts, or many kernels under one condition, hold
+/// a [`Rater`] (and a [`CoreCurve`]) instead and get the same bits.
+///
 /// # Panics
 ///
 /// Panics if `cores == 0` or the profile fails [`KernelProfile::validate`];
@@ -133,69 +137,305 @@ pub fn execute(
     interference: Interference,
     machine: &MachineConfig,
 ) -> Execution {
-    assert!(cores > 0, "cannot execute a kernel on zero cores");
-    if let Err(e) = kernel.validate() {
-        panic!("invalid kernel profile: {e}");
+    Rater::new(kernel, Headroom::under(interference, machine), machine).execute(cores)
+}
+
+/// The shared-resource capacity co-runners leave a kernel: the
+/// pressure-dependent, kernel-independent half of a rating.
+#[derive(Debug, Clone, Copy)]
+pub struct Headroom {
+    avail_cache: f64,
+    avail_bw: f64,
+}
+
+impl Headroom {
+    /// Effective L3 bytes and DRAM bandwidth left under `interference`.
+    #[inline]
+    #[must_use]
+    pub fn under(interference: Interference, machine: &MachineConfig) -> Self {
+        let avail_cache = (machine.l3_bytes
+            * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
+        .max(machine.l3_bytes * CACHE_FLOOR_FRAC);
+        let avail_bw =
+            (machine.dram_bw * (1.0 - interference.bw_frac)).max(machine.dram_bw * BW_FLOOR_FRAC);
+        Self {
+            avail_cache,
+            avail_bw,
+        }
+    }
+}
+
+/// The pressure-independent terms of a rating: compute time and the time
+/// to stream the L3 reuse traffic. Both depend only on the profile, the
+/// machine's compute and L3 parameters, and the effective parallelism
+/// `min(cores, parallel_chunks)`, so a [`CoreCurve`] can tabulate them.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct CoreTerms {
+    /// Compute time in seconds, wave-quantization imbalance included.
+    t_comp: f64,
+    /// L3 reuse-stream time in seconds.
+    t_l3: f64,
+}
+
+impl CoreTerms {
+    /// Computes the terms on `cores` (positive) cores.
+    fn of(kernel: &KernelProfile, cores: u32, machine: &MachineConfig) -> Self {
+        let p_eff = cores.min(kernel.parallel_chunks);
+        let chunks = f64::from(kernel.parallel_chunks);
+        // Wave quantization: 65 chunks on 64 cores take two full waves.
+        let waves = (chunks / f64::from(p_eff)).ceil();
+        let ideal_waves = chunks / f64::from(p_eff);
+        let imbalance = waves / ideal_waves;
+        let t_comp = kernel.flops
+            / (f64::from(p_eff)
+                * machine.effective_flops_per_core(p_eff)
+                * kernel.compute_efficiency)
+            * imbalance;
+        // The cross-tile reuse stream (all L3-reaching references) is served
+        // at L3 bandwidth regardless of residency; fine tilings refetch more.
+        let t_l3 = kernel.spill_traffic_bytes / (f64::from(p_eff) * machine.l3_bw_per_core);
+        Self { t_comp, t_l3 }
+    }
+}
+
+/// The machine parameters the [`CoreTerms`] depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct TermsKey {
+    cores: u32,
+    freq_ghz: f64,
+    flops_per_cycle: f64,
+    dvfs_droop: f64,
+    l3_bw_per_core: f64,
+}
+
+impl TermsKey {
+    fn of(machine: &MachineConfig) -> Self {
+        Self {
+            cores: machine.cores,
+            freq_ghz: machine.freq_ghz,
+            flops_per_cycle: machine.flops_per_cycle,
+            dvfs_droop: machine.dvfs_droop,
+            l3_bw_per_core: machine.l3_bw_per_core,
+        }
+    }
+}
+
+/// A kernel's pressure-independent rating terms (compute time and L3
+/// reuse-stream time) for every core count of one machine, built offline
+/// so runtime ratings skip the compute and L3 divisions.
+///
+/// Entry `p - 1` holds the terms at effective parallelism `p`, for
+/// `p` in `1..=min(machine.cores, parallel_chunks)`; past the chunk count
+/// the terms stop changing. A curve only serves the machine it was built
+/// for (see [`CoreCurve::covers`]) and carries its own copy of the
+/// profile, which it validated once on construction.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CoreCurve {
+    profile: KernelProfile,
+    key: TermsKey,
+    terms: Vec<CoreTerms>,
+}
+
+impl CoreCurve {
+    /// Tabulates `profile` on `machine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile fails [`KernelProfile::validate`], as
+    /// [`execute`] would.
+    #[must_use]
+    pub fn new(profile: &KernelProfile, machine: &MachineConfig) -> Self {
+        validate_or_panic(profile);
+        let terms = (1..=machine.cores.min(profile.parallel_chunks))
+            .map(|p| CoreTerms::of(profile, p, machine))
+            .collect();
+        Self {
+            profile: *profile,
+            key: TermsKey::of(machine),
+            terms,
+        }
     }
 
-    // --- Compute term ---------------------------------------------------
-    let p_eff = cores.min(kernel.parallel_chunks);
-    let chunks = f64::from(kernel.parallel_chunks);
-    // Wave quantization: 65 chunks on 64 cores take two full waves.
-    let waves = (chunks / f64::from(p_eff)).ceil();
-    let ideal_waves = chunks / f64::from(p_eff);
-    let imbalance = waves / ideal_waves;
-    let t_comp = kernel.flops
-        / (f64::from(p_eff) * machine.effective_flops_per_core(p_eff) * kernel.compute_efficiency)
-        * imbalance;
+    /// Whether the curve was built from exactly `profile`, compared bit
+    /// for bit.
+    #[inline]
+    #[must_use]
+    pub fn is_for(&self, profile: &KernelProfile) -> bool {
+        let (a, b) = (&self.profile, profile);
+        a.parallel_chunks == b.parallel_chunks
+            && [
+                (a.flops, b.flops),
+                (a.compute_efficiency, b.compute_efficiency),
+                (a.footprint_base_bytes, b.footprint_base_bytes),
+                (a.footprint_per_core_bytes, b.footprint_per_core_bytes),
+                (a.min_traffic_bytes, b.min_traffic_bytes),
+                (a.spill_traffic_bytes, b.spill_traffic_bytes),
+            ]
+            .iter()
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
 
-    // --- Memory terms -----------------------------------------------------
-    let avail_cache = (machine.l3_bytes
-        * (1.0 - interference.cache_frac).powi(CACHE_CONTENTION_EXP))
-    .max(machine.l3_bytes * CACHE_FLOOR_FRAC);
-    let traffic = kernel.traffic_bytes(cores, avail_cache);
-    let avail_bw =
-        (machine.dram_bw * (1.0 - interference.bw_frac)).max(machine.dram_bw * BW_FLOOR_FRAC);
-    let bw = avail_bw.min(f64::from(cores) * machine.per_core_bw);
-    let t_dram = traffic / bw;
-    // The cross-tile reuse stream (all L3-reaching references) is served at
-    // L3 bandwidth regardless of residency; fine tilings refetch more.
-    let t_l3 = kernel.spill_traffic_bytes / (f64::from(p_eff) * machine.l3_bw_per_core);
+    /// Whether `machine` rates the profile exactly as the build machine
+    /// did: equal core count, clock, FLOPs per cycle, DVFS droop and L3
+    /// bandwidth per core.
+    #[inline]
+    #[must_use]
+    pub fn covers(&self, machine: &MachineConfig) -> bool {
+        self.key == TermsKey::of(machine)
+    }
+}
 
-    // --- Combine ----------------------------------------------------------
-    let serial = t_comp.max(t_dram).max(t_l3);
-    let latency_s = serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial);
+/// One kernel under one [`Headroom`], rated at any core count.
+///
+/// Construction does the core-count-independent work once: it validates
+/// the profile (or trusts a [`CoreCurve`], which validated its own) and
+/// holds the hoisted headroom. [`Rater::latency_s`] and
+/// [`Rater::execute`] then share one arithmetic path, reading the
+/// pressure-independent terms from the curve when it covers the machine
+/// and computing them otherwise, so every rating is bit-identical to
+/// [`execute`].
+#[derive(Debug, Clone, Copy)]
+pub struct Rater<'a> {
+    kernel: &'a KernelProfile,
+    machine: &'a MachineConfig,
+    curve: Option<&'a [CoreTerms]>,
+    headroom: Headroom,
+}
 
-    // --- Counters ---------------------------------------------------------
-    // All L3-reaching references are a schedule property (the reuse stream);
-    // how many of them miss depends on the cache share actually obtained.
-    let l3_accesses = (kernel.spill_traffic_bytes / LINE_BYTES).max(1.0);
-    let l3_misses = (traffic / LINE_BYTES).min(l3_accesses);
-    // SIMD compute instructions plus one instruction per line touched.
-    let instructions = kernel.flops / (machine.flops_per_cycle / 2.0) + l3_accesses;
-    let cycles = latency_s * machine.freq_ghz * 1e9 * f64::from(p_eff);
-    let counters = PerfCounters {
-        l3_accesses,
-        l3_misses,
-        instructions,
-        cycles,
-        flops: kernel.flops,
-    };
+/// The per-core-count part of a rating.
+struct Evaluated {
+    latency_s: f64,
+    traffic: f64,
+    footprint: f64,
+    p_eff: u32,
+}
 
-    // --- Demand on co-runners ----------------------------------------------
-    // Cache pressure = held working set + LRU pollution by the DRAM
-    // insertion stream over one cache-fill window (l3 / dram_bw seconds).
-    let bw_bytes_per_s = traffic / latency_s.max(1e-12);
-    let pollution = bw_bytes_per_s * (machine.l3_bytes / machine.dram_bw);
-    let demand = PressureDemand {
-        cache_bytes: (kernel.footprint_bytes(cores) + pollution).min(machine.l3_bytes),
-        bw_bytes_per_s,
-    };
+impl<'a> Rater<'a> {
+    /// A rater that computes every term directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile fails [`KernelProfile::validate`].
+    #[inline]
+    #[must_use]
+    pub fn new(kernel: &'a KernelProfile, headroom: Headroom, machine: &'a MachineConfig) -> Self {
+        validate_or_panic(kernel);
+        Self {
+            kernel,
+            machine,
+            curve: None,
+            headroom,
+        }
+    }
 
-    Execution {
-        latency_s,
-        counters,
-        demand,
+    /// A rater for the curve's profile that reads the tabulated terms when
+    /// the curve [covers](CoreCurve::covers) `machine`.
+    #[inline]
+    #[must_use]
+    pub fn on_curve(curve: &'a CoreCurve, headroom: Headroom, machine: &'a MachineConfig) -> Self {
+        Self {
+            kernel: &curve.profile,
+            machine,
+            curve: curve.covers(machine).then_some(curve.terms.as_slice()),
+            headroom,
+        }
+    }
+
+    /// Kernel latency on `cores` cores, seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    #[inline]
+    #[must_use]
+    pub fn latency_s(&self, cores: u32) -> f64 {
+        self.evaluate(cores).latency_s
+    }
+
+    /// The full execution on `cores` cores: latency, counters and demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    #[must_use]
+    pub fn execute(&self, cores: u32) -> Execution {
+        let Evaluated {
+            latency_s,
+            traffic,
+            footprint,
+            p_eff,
+        } = self.evaluate(cores);
+        let kernel = self.kernel;
+        let machine = self.machine;
+
+        // --- Counters -----------------------------------------------------
+        // All L3-reaching references are a schedule property (the reuse
+        // stream); how many of them miss depends on the cache share
+        // actually obtained.
+        let l3_accesses = (kernel.spill_traffic_bytes / LINE_BYTES).max(1.0);
+        let l3_misses = (traffic / LINE_BYTES).min(l3_accesses);
+        // SIMD compute instructions plus one instruction per line touched.
+        let instructions = kernel.flops / (machine.flops_per_cycle / 2.0) + l3_accesses;
+        let cycles = latency_s * machine.freq_ghz * 1e9 * f64::from(p_eff);
+        let counters = PerfCounters {
+            l3_accesses,
+            l3_misses,
+            instructions,
+            cycles,
+            flops: kernel.flops,
+        };
+
+        // --- Demand on co-runners -------------------------------------------
+        // Cache pressure = held working set + LRU pollution by the DRAM
+        // insertion stream over one cache-fill window (l3 / dram_bw seconds).
+        let bw_bytes_per_s = traffic / latency_s.max(1e-12);
+        let pollution = bw_bytes_per_s * (machine.l3_bytes / machine.dram_bw);
+        let demand = PressureDemand {
+            cache_bytes: (footprint + pollution).min(machine.l3_bytes),
+            bw_bytes_per_s,
+        };
+
+        Execution {
+            latency_s,
+            counters,
+            demand,
+        }
+    }
+
+    #[inline]
+    fn evaluate(&self, cores: u32) -> Evaluated {
+        assert!(cores > 0, "cannot execute a kernel on zero cores");
+        let kernel = self.kernel;
+        let p_eff = cores.min(kernel.parallel_chunks);
+        let CoreTerms { t_comp, t_l3 } = match self.curve.and_then(|c| c.get(p_eff as usize - 1)) {
+            Some(terms) => *terms,
+            None => CoreTerms::of(kernel, cores, self.machine),
+        };
+
+        // --- Memory term ----------------------------------------------------
+        let footprint = kernel.footprint_bytes(cores);
+        let traffic = kernel.traffic_for_footprint(footprint, self.headroom.avail_cache);
+        let bw = self
+            .headroom
+            .avail_bw
+            .min(f64::from(cores) * self.machine.per_core_bw);
+        let t_dram = traffic / bw;
+
+        // --- Combine --------------------------------------------------------
+        let serial = t_comp.max(t_dram).max(t_l3);
+        let latency_s = serial + OVERLAP_RESIDUAL * (t_comp + t_dram + t_l3 - serial);
+        Evaluated {
+            latency_s,
+            traffic,
+            footprint,
+            p_eff,
+        }
+    }
+}
+
+fn validate_or_panic(kernel: &KernelProfile) {
+    if let Err(e) = kernel.validate() {
+        panic!("invalid kernel profile: {e}");
     }
 }
 

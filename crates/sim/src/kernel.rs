@@ -90,7 +90,14 @@ impl KernelProfile {
     /// spills proportionally to the unfitting fraction.
     #[must_use]
     pub fn traffic_bytes(&self, cores: u32, avail_cache: f64) -> f64 {
-        let footprint = self.footprint_bytes(cores);
+        self.traffic_for_footprint(self.footprint_bytes(cores), avail_cache)
+    }
+
+    /// [`KernelProfile::traffic_bytes`] for an already computed
+    /// [`KernelProfile::footprint_bytes`], so a rating that also reports
+    /// the footprint as cache demand computes it once.
+    #[must_use]
+    pub(crate) fn traffic_for_footprint(&self, footprint: f64, avail_cache: f64) -> f64 {
         let spill_frac = if footprint <= avail_cache || footprint == 0.0 {
             0.0
         } else {

@@ -48,6 +48,6 @@ pub mod machine;
 pub use contention::{Interference, PressureDemand};
 pub use counters::PerfCounters;
 pub use des::{EventQueue, SimTime};
-pub use exec::{execute, Execution, UnitProgress};
+pub use exec::{execute, CoreCurve, Execution, Headroom, Rater, UnitProgress};
 pub use kernel::KernelProfile;
 pub use machine::MachineConfig;
